@@ -97,15 +97,4 @@ mod tests {
         assert!(d.bytes >= 8 * 1024, "{d:?}");
         drop(v);
     }
-
-    #[test]
-    fn warm_vec_reuse_counts_zero() {
-        let mut v: Vec<u64> = Vec::with_capacity(1024);
-        v.extend(0..1024);
-        v.clear();
-        let before = snapshot();
-        v.extend(0..1024); // into retained capacity
-        let d = delta(before);
-        assert_eq!(d.allocs, 0, "{d:?}");
-    }
 }

@@ -86,7 +86,7 @@ pub use solver::{
     PreScratch, Prover, ProverBackend, SweepProver,
 };
 pub use trace::{
-    explain_function, json_escape, module_trace_jsonl, request_span_jsonl, witness_path,
-    FunctionTrace, ProveEvent, Span, TRACE_SCHEMA,
+    explain_function, json_escape, json_escape_into, module_trace_jsonl, request_span_jsonl,
+    witness_path, FunctionTrace, ProveEvent, Span, TRACE_SCHEMA,
 };
 pub use versioning::{version_functions, VersioningReport};

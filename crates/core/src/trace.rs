@@ -73,20 +73,35 @@ pub const SPAN_RING_CAPACITY: usize = 16_384;
 /// `abcd-server`'s protocol).
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    json_escape_into(&mut out, s);
     out
+}
+
+/// Appends the escaped body of `s` to `out` — [`json_escape`] without the
+/// intermediate `String`, so a large payload is escaped straight into the
+/// buffer it ships in. Runs of bytes that need no escaping are copied in
+/// one `push_str`; every byte that needs escaping is ASCII, so a run
+/// always ends on a char boundary.
+pub fn json_escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 /// One step of a recorded `demandProve` traversal. Vertices are recorded
@@ -964,5 +979,42 @@ mod tests {
         assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(json_escape("x\ny"), "x\\ny");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
+
+    /// The run-copying escaper emits exactly the bytes of a char-at-a-time
+    /// reference, including multibyte text around escapes, and appends
+    /// rather than overwrites.
+    #[test]
+    fn escape_into_matches_a_per_char_reference() {
+        fn reference(s: &str) -> String {
+            let mut out = String::new();
+            for ch in s.chars() {
+                match ch {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        for s in [
+            "",
+            "plain",
+            "é\"😀",
+            "\"é",
+            "😀\\",
+            "\u{0}\u{1f}\u{7f}\r\t\n",
+            "ab\u{8}cd\u{c}é",
+            "func @f(v0: int) {\n  v1 = add v0, 1\n}\n",
+        ] {
+            assert_eq!(json_escape(s), reference(s), "{s:?}");
+            let mut out = String::from("prefix:");
+            json_escape_into(&mut out, s);
+            assert_eq!(out, format!("prefix:{}", reference(s)));
+        }
     }
 }

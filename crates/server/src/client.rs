@@ -152,12 +152,13 @@ pub struct Optimized {
     pub trace: Option<String>,
 }
 
-/// Parses one reply frame into a [`Reply`].
-fn parse_reply(payload: &[u8]) -> Result<Reply, String> {
-    let text = std::str::from_utf8(payload).map_err(|_| "reply is not UTF-8".to_string())?;
-    let doc = Json::parse(text).map_err(|e| format!("bad reply: {e}"))?;
+/// Parses one reply frame into a [`Reply`]. The raw text of an `ok`
+/// reply reuses the frame buffer rather than copying it.
+fn parse_reply(payload: Vec<u8>) -> Result<Reply, String> {
+    let text = String::from_utf8(payload).map_err(|_| "reply is not UTF-8".to_string())?;
+    let doc = Json::parse(&text).map_err(|e| format!("bad reply: {e}"))?;
     if doc.get("ok").and_then(Json::as_bool) == Some(true) {
-        return Ok(Reply::Ok(doc, text.to_string()));
+        return Ok(Reply::Ok(doc, text));
     }
     if doc.get("busy").and_then(Json::as_bool) == Some(true) {
         return Ok(Reply::Busy {
@@ -222,7 +223,7 @@ pub fn roundtrip_at(
         (Err(_), Err(e)) => return Err(format!("send: {e}")),
         (Err(e), Ok(())) => return Err(format!("receive: {e}")),
     };
-    parse_reply(&payload)
+    parse_reply(payload)
 }
 
 /// Optimizes a module remotely over UDS, retrying `busy` replies per
@@ -372,7 +373,7 @@ fn call_with_retry(
                     return Ok(replies);
                 }
             };
-            match parse_reply(&payload)? {
+            match parse_reply(payload)? {
                 Reply::Ok(doc, raw) => replies.push(Ok((doc, raw))),
                 Reply::Err(e) => replies.push(Err(e)),
                 Reply::Busy { retry_after_ms, .. } => {
@@ -541,7 +542,7 @@ mod tests {
     #[test]
     fn queued_replies_parse_as_busy_with_position() {
         let payload = crate::proto::queued_response(12, 55);
-        match parse_reply(payload.as_bytes()).unwrap() {
+        match parse_reply(payload.into_bytes()).unwrap() {
             Reply::Busy {
                 retry_after_ms,
                 queued,
@@ -553,7 +554,7 @@ mod tests {
         }
         // Pre-shard busy replies still parse, with no position.
         let payload = crate::proto::busy_response(40);
-        match parse_reply(payload.as_bytes()).unwrap() {
+        match parse_reply(payload.into_bytes()).unwrap() {
             Reply::Busy { queued, .. } => assert_eq!(queued, None),
             other => panic!("{other:?}"),
         }

@@ -81,10 +81,11 @@
 //! non-busy `"ok":false` is a terminal, structured error — resending the
 //! same request will fail the same way.
 
-use crate::json::{escape, Json};
+use crate::json::{escape, escape_into, Json};
 use abcd::{ModuleReport, OptimizerOptions};
 use abcd_ir::{Block, CheckSite, FuncId};
 use abcd_vm::Profile;
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 
 /// Upper bound on a single frame (64 MiB) — shields the server from
@@ -425,7 +426,8 @@ pub fn options_json(o: &OptimizerOptions) -> String {
     )
 }
 
-/// Builds an `optimize` request frame payload.
+/// Builds an `optimize` request frame payload. The source or IR is
+/// escaped straight into the one pre-sized request buffer.
 pub fn optimize_request_json(
     source_or_ir: (&str, bool),
     options: &OptimizerOptions,
@@ -438,14 +440,18 @@ pub fn optimize_request_json(
     let (text, is_ir) = source_or_ir;
     let field = if is_ir { "ir" } else { "source" };
     let deadline = deadline_ms.map_or_else(|| "null".to_string(), |d| d.to_string());
-    format!(
-        "{{\"cmd\":\"optimize\",\"{field}\":\"{}\",\"options\":{},\"profile\":{},\
+    let profile = profile.map_or_else(|| "null".to_string(), profile_json);
+    let mut out = String::with_capacity(text.len() + profile.len() + 512);
+    let _ = write!(out, "{{\"cmd\":\"optimize\",\"{field}\":\"");
+    escape_into(&mut out, text);
+    let _ = write!(
+        out,
+        "\",\"options\":{},\"profile\":{profile},\
          \"metrics\":{metrics},\"deterministic_metrics\":{deterministic_metrics},\
          \"trace\":{trace},\"deadline_ms\":{deadline}}}",
-        escape(text),
         options_json(options),
-        profile.map_or_else(|| "null".to_string(), profile_json),
-    )
+    );
+    out
 }
 
 /// Builds the success response for an optimized module. `metrics` is a
@@ -453,7 +459,8 @@ pub fn optimize_request_json(
 /// a pre-rendered `abcd-trace/3` JSONL document attached as a string.
 /// `deadline_exceeded` marks a fail-open reply whose `ir` is the compiled
 /// but unoptimized module. `metrics` must stay the final field — clients
-/// locate it by scanning from the end of the frame.
+/// locate it by scanning from the end of the frame. The IR and trace are
+/// escaped straight into the one pre-sized reply buffer.
 pub fn ok_response(
     ir: &str,
     report: &ModuleReport,
@@ -461,21 +468,36 @@ pub fn ok_response(
     trace: Option<&str>,
     metrics: Option<&str>,
 ) -> String {
-    let trace = trace.map_or_else(|| "null".to_string(), |t| format!("\"{}\"", escape(t)));
-    format!(
-        "{{\"ok\":true,\"ir\":\"{}\",\"checks_total\":{},\"removed_fully\":{},\
+    let mut out = String::with_capacity(
+        ir.len() + trace.map_or(0, str::len) + metrics.map_or(0, str::len) + 256,
+    );
+    out.push_str("{\"ok\":true,\"ir\":\"");
+    escape_into(&mut out, ir);
+    let _ = write!(
+        out,
+        "\",\"checks_total\":{},\"removed_fully\":{},\
          \"hoisted\":{},\"incidents\":{},\"degraded_incidents\":{},\
          \"functions_from_cache\":{},\"deadline_exceeded\":{deadline_exceeded},\
-         \"trace\":{trace},\"metrics\":{}}}",
-        escape(ir),
+         \"trace\":",
         report.checks_total(),
         report.checks_removed_fully(),
         report.checks_hoisted(),
         report.incident_count(),
         report.degraded_incident_count(),
         report.functions_from_cache(),
-        metrics.unwrap_or("null"),
-    )
+    );
+    match trace {
+        Some(t) => {
+            out.push('"');
+            escape_into(&mut out, t);
+            out.push('"');
+        }
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"metrics\":");
+    out.push_str(metrics.unwrap_or("null"));
+    out.push('}');
+    out
 }
 
 /// Builds a terminal error response.
@@ -645,6 +667,51 @@ mod tests {
         assert!(parse_request(b"[]").unwrap_err().contains("empty batch"));
         let err = parse_request(br#"[{"ir":"a"},{"cmd":"optimize"}]"#).unwrap_err();
         assert!(err.contains("batch element 1"), "{err}");
+    }
+
+    /// The buffers are assembled piecewise; pin the exact bytes so the
+    /// wire format cannot drift from what clients and goldens expect.
+    #[test]
+    fn request_and_reply_bytes_are_pinned() {
+        let request = optimize_request_json(
+            ("fn \"é\"\n", false),
+            &OptimizerOptions::default(),
+            None,
+            false,
+            true,
+            false,
+            Some(9),
+        );
+        assert_eq!(
+            request,
+            format!(
+                "{{\"cmd\":\"optimize\",\"source\":\"fn \\\"é\\\"\\n\",\"options\":{},\
+                 \"profile\":null,\"metrics\":false,\"deterministic_metrics\":true,\
+                 \"trace\":false,\"deadline_ms\":9}}",
+                options_json(&OptimizerOptions::default())
+            )
+        );
+        let report = ModuleReport::default();
+        assert_eq!(
+            ok_response(
+                "a\"b\n",
+                &report,
+                true,
+                Some("{\"x\":1}\n"),
+                Some("{\"m\":2}")
+            ),
+            "{\"ok\":true,\"ir\":\"a\\\"b\\n\",\"checks_total\":0,\"removed_fully\":0,\
+             \"hoisted\":0,\"incidents\":0,\"degraded_incidents\":0,\
+             \"functions_from_cache\":0,\"deadline_exceeded\":true,\
+             \"trace\":\"{\\\"x\\\":1}\\n\",\"metrics\":{\"m\":2}}"
+        );
+        assert_eq!(
+            ok_response("", &report, false, None, None),
+            "{\"ok\":true,\"ir\":\"\",\"checks_total\":0,\"removed_fully\":0,\
+             \"hoisted\":0,\"incidents\":0,\"degraded_incidents\":0,\
+             \"functions_from_cache\":0,\"deadline_exceeded\":false,\
+             \"trace\":null,\"metrics\":null}"
+        );
     }
 
     #[test]

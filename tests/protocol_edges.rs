@@ -1,12 +1,13 @@
 //! Protocol edge cases, driven over a raw socket so the bytes on the
 //! wire are exactly what the test says: a truncated length prefix, a
-//! frame at / one past the 64 MiB cap, a zero-length frame, and garbage
-//! where a header should be — plus the protocol-v2 batch edges: the
-//! empty batch, the at-cap batch frame, mixed v1/v2 clients on one
-//! socket, and a deadline tripping for one batch element only. Every
-//! case must produce a structured error (or a clean close for
-//! unanswerable garbage) and leave the daemon healthy — no wedged
-//! worker, no poisoned state.
+//! frame at / one past the 64 MiB cap, a zero-length frame, garbage
+//! where a header should be, and a frame nested far past the JSON
+//! reader's depth cap — plus the protocol-v2 batch edges: the empty
+//! batch, the at-cap batch frame, mixed v1/v2 clients on one socket, and
+//! a deadline tripping for one batch element only. Every case must
+//! produce a structured error (or a clean close for unanswerable
+//! garbage) and leave the daemon healthy — no wedged worker, no
+//! poisoned state.
 
 use abcd_server::proto::MAX_FRAME;
 use abcd_server::ServerConfig;
@@ -91,6 +92,34 @@ fn hostile_frames_get_structured_errors_and_the_daemon_stays_healthy() {
         "daemon healthy after hostile frames"
     );
 
+    abcd_server::shutdown(&socket).unwrap();
+    handle.join();
+}
+
+/// A ~400 KB frame of 200 000 nested arrays used to recurse the JSON
+/// reader off its stack and abort the whole daemon. The reader's depth
+/// cap turns it into a structured error, and the daemon keeps serving.
+#[test]
+fn deeply_nested_frame_is_a_structured_error() {
+    let socket = sock("deep");
+    let handle = abcd_server::start(ServerConfig::new(&socket)).unwrap();
+    assert!(ping_eventually(&socket), "server must come up");
+
+    let depth = 200_000;
+    let payload = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let mut framed = Vec::new();
+    abcd_server::proto::write_frame(&mut framed, payload.as_bytes()).unwrap();
+    let reply = send_raw(&socket, &framed);
+    assert_error_frame(
+        &reply,
+        "bad JSON: nesting deeper than",
+        "deeply nested frame",
+    );
+
+    assert!(
+        ping_eventually(&socket),
+        "daemon healthy after a deeply nested frame"
+    );
     abcd_server::shutdown(&socket).unwrap();
     handle.join();
 }
