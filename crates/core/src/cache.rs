@@ -24,6 +24,19 @@
 //! pipeline stage canonicalizes, cached text is a `print ∘ parse`
 //! fixpoint: warm and cold runs produce byte-identical modules.
 //!
+//! **What a replay costs.** A hit never re-proves anything, but it is not
+//! free. The key hashes the canonical print of the *input* function: a
+//! [`canonicalize`](abcd_ir::canonicalize) rebuild plus a print streamed
+//! into FNV-1a ([`cache_key_of`]), with no key text built. The lookup
+//! clones an `Arc`. The replay parses the cached text in one linear pass,
+//! re-runs `verify_function` on it, and rebuilds the report from the
+//! summary. On the paper kernels and the `abcd_loadgen` corpus (release
+//! build, 2-vCPU 2.1 GHz Xeon) that is about 7–8 ns per byte of cached
+//! text to parse, 1.2–1.6 ns/byte to verify, and 5.6–6.7 ns per byte of
+//! input to key. A disk hit also checksums, parses, verifies and
+//! re-prints the entry once when it is loaded. The memory tier holds text,
+//! not parsed functions: a `Function` is about twice the size of its text.
+//!
 //! The profile fingerprint is a deliberate approximation: counts are
 //! bucketed so that run-to-run jitter in a stable workload still hits,
 //! at the cost of possibly replaying a PRE profitability decision made
@@ -37,7 +50,9 @@
 //! cached IR parses, re-verifies, and is a print fixpoint. Any mismatch
 //! is reported as [`Incident::CacheCorrupt`](crate::Incident), the entry
 //! is deleted, and the function is recompiled cold — cache corruption is
-//! an incident, never a miscompile and never a crash.
+//! an incident, never a miscompile and never a crash. An entry (from
+//! either tier) whose replay fails is treated the same way: counted as a
+//! corrupt miss, not a hit, and dropped ([`AnalysisCache::lookup`]).
 //!
 //! **Crash safety.** Disk persists are write-to-temp → `fsync` → atomic
 //! rename (plus a best-effort directory fsync), so a published entry is
@@ -52,10 +67,10 @@ use crate::driver::OptimizerOptions;
 use crate::faults::{ChaosPlan, ChaosSite};
 use crate::interproc::ParamFact;
 use crate::report::CheckOutcome;
-use abcd_ir::{CheckKind, CheckSite, FuncId};
+use abcd_ir::{CheckKind, CheckSite, FuncId, Function};
 use abcd_vm::Profile;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,7 +88,12 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// FNV-1a 64-bit — dependency-free, stable across platforms and runs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a 64 stream: `fnv1a64_extend(fnv1a64(a), b)` is
+/// `fnv1a64` of `a` followed by `b`.
+fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -83,12 +103,27 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 fn mix(h: u64, v: u64) -> u64 {
     // Feed the value through the same FNV stream byte by byte.
-    let mut h = h;
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    fnv1a64_extend(h, &v.to_le_bytes())
+}
+
+/// A `fmt::Write` sink that hashes what is written to it with FNV-1a 64,
+/// so printed IR can be hashed without building the text.
+struct FnvSink(u64);
+
+impl fmt::Write for FnvSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a64_extend(self.0, s.as_bytes());
+        Ok(())
     }
-    h
+}
+
+/// FNV-1a 64 of `canonicalize(func)`'s printed text, hashed as the
+/// printer writes it: equal to
+/// `fnv1a64(canonicalize(func).to_string().as_bytes())`.
+pub fn canonical_ir_hash(func: &Function) -> u64 {
+    let mut sink = FnvSink(fnv1a64(b""));
+    write!(sink, "{}", abcd_ir::canonicalize(func)).expect("hashing cannot fail");
+    sink.0
 }
 
 /// A content-addressed cache key (see the module docs for what it hashes).
@@ -110,8 +145,30 @@ impl fmt::Display for CacheKey {
 
 /// Derives the cache key for one function from its four components.
 pub fn cache_key(canonical_ir: &str, options_fp: u64, facts_fp: u64, profile_fp: u64) -> CacheKey {
-    let h = fnv1a64(canonical_ir.as_bytes());
-    CacheKey(mix(mix(mix(h, options_fp), facts_fp), profile_fp))
+    key_from_ir_hash(
+        fnv1a64(canonical_ir.as_bytes()),
+        options_fp,
+        facts_fp,
+        profile_fp,
+    )
+}
+
+/// The cache key of `func`: the same key as
+/// `cache_key(&canonicalize(func).to_string(), …)`, computed by hashing
+/// the canonical print as it is written instead of building the text.
+pub fn cache_key_of(func: &Function, options_fp: u64, facts_fp: u64, profile_fp: u64) -> CacheKey {
+    key_from_ir_hash(canonical_ir_hash(func), options_fp, facts_fp, profile_fp)
+}
+
+/// The cache key from the [`canonical_ir_hash`] of the input and the
+/// three fingerprints.
+pub(crate) fn key_from_ir_hash(
+    ir_hash: u64,
+    options_fp: u64,
+    facts_fp: u64,
+    profile_fp: u64,
+) -> CacheKey {
+    CacheKey(mix(mix(mix(ir_hash, options_fp), facts_fp), profile_fp))
 }
 
 /// Fingerprints every [`OptimizerOptions`] knob. All knobs participate —
@@ -240,7 +297,6 @@ impl CacheEntry {
     /// line-oriented format stored on disk.
     pub fn summary_text(&self) -> String {
         let mut out = String::new();
-        use std::fmt::Write as _;
         let _ = writeln!(
             out,
             "counts {} {} {} {} {} {}",
@@ -367,15 +423,16 @@ pub struct CacheStats {
     pub bytes: usize,
     /// Configured in-memory byte budget.
     pub budget_bytes: usize,
-    /// Lookups answered from memory or disk.
+    /// Lookups answered from memory or disk whose entry replayed.
     pub hits: u64,
-    /// Lookups that found nothing (or only a corrupt disk entry).
+    /// Lookups that found nothing, or only a corrupt entry.
     pub misses: u64,
     /// Entries written (memory, and disk when persistent).
     pub stores: u64,
     /// Entries evicted from memory by the byte budget.
     pub evictions: u64,
-    /// Disk entries rejected by re-verification and deleted.
+    /// Entries rejected as corrupt and deleted: disk entries that failed
+    /// re-verification, and entries whose replay failed.
     pub corrupt: u64,
     /// Hits served by re-reading and re-verifying a disk entry.
     pub disk_hits: u64,
@@ -387,21 +444,8 @@ pub struct CacheStats {
     pub write_errors: u64,
 }
 
-/// One lookup's verdict.
-#[derive(Debug)]
-pub enum Lookup {
-    /// A verified entry; replay it.
-    Hit(Box<CacheEntry>),
-    /// Nothing cached under this key.
-    Miss,
-    /// A disk entry existed but failed re-verification; it has been
-    /// deleted and the function must be recompiled cold. The string is
-    /// the human-readable reason, surfaced as an incident.
-    Corrupt(String),
-}
-
 struct Slot {
-    entry: CacheEntry,
+    entry: Arc<CacheEntry>,
     size: usize,
     last_used: u64,
 }
@@ -547,46 +591,78 @@ impl AnalysisCache {
         s
     }
 
-    /// Looks `key` up: memory first, then the disk tier (with full
-    /// re-verification). Never panics and never returns unverified data.
-    pub fn lookup(&self, key: CacheKey) -> Lookup {
-        {
+    /// Looks `key` up — memory first, then the disk tier (with full
+    /// re-verification) — and hands a found entry to `replay`. Never
+    /// panics and never hands out unverified data. The lookup counts as a
+    /// hit only when `replay` accepts the entry. An entry it rejects is
+    /// treated like a disk entry that fails re-verification: counted as a
+    /// miss plus a corrupt entry and dropped from both tiers, so it is
+    /// never served twice.
+    ///
+    /// `Ok(Some(_))`: `replay`'s result. `Ok(None)`: nothing cached.
+    /// `Err(reason)`: the entry was corrupt (on disk, or rejected by
+    /// `replay`) and has been deleted; recompile cold and surface the
+    /// human-readable reason as an incident.
+    pub fn lookup<T>(
+        &self,
+        key: CacheKey,
+        replay: impl FnOnce(&CacheEntry) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        let resident = {
             let mut inner = self.stripe(key).lock().expect("cache lock");
             inner.tick += 1;
             let tick = inner.tick;
-            if let Some(slot) = inner.map.get_mut(&key.0) {
+            inner.map.get_mut(&key.0).map(|slot| {
                 slot.last_used = tick;
-                let entry = slot.entry.clone();
-                inner.hits += 1;
-                return Lookup::Hit(Box::new(entry));
-            }
-        }
-        match self.load_disk(key) {
-            None => {
-                self.stripe(key).lock().expect("cache lock").misses += 1;
-                Lookup::Miss
-            }
-            Some(Ok(entry)) => {
+                Arc::clone(&slot.entry)
+            })
+        };
+        let (entry, from_disk) = match resident {
+            Some(entry) => (entry, false),
+            None => match self.load_disk(key) {
+                None => {
+                    self.stripe(key).lock().expect("cache lock").misses += 1;
+                    return Ok(None);
+                }
+                Some(Ok(entry)) => (Arc::new(entry), true),
+                Some(Err(reason)) => {
+                    self.reject(key);
+                    return Err(reason);
+                }
+            },
+        };
+        match replay(&entry) {
+            Ok(replayed) => {
                 {
                     let mut inner = self.stripe(key).lock().expect("cache lock");
                     inner.hits += 1;
-                    inner.disk_hits += 1;
+                    inner.disk_hits += u64::from(from_disk);
                 }
-                self.insert_memory(key, entry.clone());
-                Lookup::Hit(Box::new(entry))
+                if from_disk {
+                    self.insert_memory(key, entry);
+                }
+                Ok(Some(replayed))
             }
-            Some(Err(reason)) => {
-                {
-                    let mut inner = self.stripe(key).lock().expect("cache lock");
-                    inner.misses += 1;
-                    inner.corrupt += 1;
-                }
-                // Quarantine: a corrupt entry must not be served twice.
-                if let Some(path) = self.disk_path(key) {
-                    let _ = std::fs::remove_file(path);
-                }
-                Lookup::Corrupt(reason)
+            Err(reason) => {
+                self.reject(key);
+                Err(reason)
             }
+        }
+    }
+
+    /// Counts a corrupt entry (a miss plus a corrupt verdict) and
+    /// quarantines it: out of memory and off the disk.
+    fn reject(&self, key: CacheKey) {
+        {
+            let mut inner = self.stripe(key).lock().expect("cache lock");
+            inner.misses += 1;
+            inner.corrupt += 1;
+            if let Some(slot) = inner.map.remove(&key.0) {
+                inner.bytes -= slot.size;
+            }
+        }
+        if let Some(path) = self.disk_path(key) {
+            let _ = std::fs::remove_file(path);
         }
     }
 
@@ -594,11 +670,11 @@ impl AnalysisCache {
     /// the byte budget) and on disk when persistent.
     pub fn insert(&self, key: CacheKey, entry: CacheEntry) {
         self.store_disk(key, &entry);
-        self.insert_memory(key, entry);
+        self.insert_memory(key, Arc::new(entry));
         self.stripe(key).lock().expect("cache lock").stores += 1;
     }
 
-    fn insert_memory(&self, key: CacheKey, entry: CacheEntry) {
+    fn insert_memory(&self, key: CacheKey, entry: Arc<CacheEntry>) {
         let size = entry.byte_size();
         let budget = self.stripe_budget();
         let mut inner = self.stripe(key).lock().expect("cache lock");
@@ -830,6 +906,11 @@ fn parse_disk_entry(key: CacheKey, bytes: &[u8]) -> Result<CacheEntry, String> {
 mod tests {
     use super::*;
 
+    /// A lookup that takes any entry it finds.
+    fn get(cache: &AnalysisCache, key: CacheKey) -> Result<Option<CacheEntry>, String> {
+        cache.lookup(key, |e| Ok(e.clone()))
+    }
+
     fn entry(ir: &str) -> CacheEntry {
         CacheEntry {
             ir_text: ir.to_string(),
@@ -883,10 +964,10 @@ bb0:
     fn memory_hit_and_miss() {
         let cache = AnalysisCache::in_memory(1 << 20);
         let key = cache_key("text", 1, 2, 3);
-        assert!(matches!(cache.lookup(key), Lookup::Miss));
+        assert!(matches!(get(&cache, key), Ok(None)));
         cache.insert(key, entry(FUNC));
-        match cache.lookup(key) {
-            Lookup::Hit(e) => assert_eq!(e.ir_text, FUNC),
+        match get(&cache, key) {
+            Ok(Some(e)) => assert_eq!(e.ir_text, FUNC),
             other => panic!("expected hit, got {other:?}"),
         }
         let s = cache.stats();
@@ -901,11 +982,11 @@ bb0:
         cache.insert(keys[0], entry(FUNC));
         cache.insert(keys[1], entry(FUNC));
         // Touch key 0 so key 1 is the LRU victim.
-        assert!(matches!(cache.lookup(keys[0]), Lookup::Hit(_)));
+        assert!(matches!(get(&cache, keys[0]), Ok(Some(_))));
         cache.insert(keys[2], entry(FUNC));
-        assert!(matches!(cache.lookup(keys[0]), Lookup::Hit(_)));
-        assert!(matches!(cache.lookup(keys[1]), Lookup::Miss));
-        assert!(matches!(cache.lookup(keys[2]), Lookup::Hit(_)));
+        assert!(matches!(get(&cache, keys[0]), Ok(Some(_))));
+        assert!(matches!(get(&cache, keys[1]), Ok(None)));
+        assert!(matches!(get(&cache, keys[2]), Ok(Some(_))));
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.stats().bytes <= cache.stats().budget_bytes);
     }
@@ -920,8 +1001,8 @@ bb0:
 
         // A fresh cache over the same dir serves the entry from disk.
         let cold = AnalysisCache::with_dir(&dir, 1 << 20).unwrap();
-        match cold.lookup(key) {
-            Lookup::Hit(e) => assert_eq!(*e, entry(FUNC)),
+        match get(&cold, key) {
+            Ok(Some(e)) => assert_eq!(e, entry(FUNC)),
             other => panic!("expected disk hit, got {other:?}"),
         }
         assert_eq!(cold.stats().disk_hits, 1);
@@ -934,12 +1015,12 @@ bb0:
         bytes[n - 2] ^= 0x20;
         std::fs::write(&path, &bytes).unwrap();
         let fresh = AnalysisCache::with_dir(&dir, 1 << 20).unwrap();
-        match fresh.lookup(key) {
-            Lookup::Corrupt(reason) => assert!(reason.contains("mismatch"), "{reason}"),
+        match get(&fresh, key) {
+            Err(reason) => assert!(reason.contains("mismatch"), "{reason}"),
             other => panic!("expected corrupt, got {other:?}"),
         }
         assert!(!path.exists(), "corrupt entry must be quarantined");
-        assert!(matches!(fresh.lookup(key), Lookup::Miss));
+        assert!(matches!(get(&fresh, key), Ok(None)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -965,8 +1046,8 @@ bb0:
             "debris is quarantined, not destroyed"
         );
         // The published entry survived the sweep and still verifies.
-        match reopened.lookup(cache_key(FUNC, 1, 2, 3)) {
-            Lookup::Hit(e) => assert_eq!(e.ir_text, FUNC),
+        match get(&reopened, cache_key(FUNC, 1, 2, 3)) {
+            Ok(Some(e)) => assert_eq!(e.ir_text, FUNC),
             other => panic!("expected disk hit after sweep, got {other:?}"),
         }
         // A third open finds nothing left to recover.
@@ -995,7 +1076,7 @@ bb0:
         assert!(!dir.join(format!("{}.abcdc", key.hex())).exists());
         let reopened = AnalysisCache::with_dir(&dir, 1 << 20).unwrap();
         assert_eq!(reopened.stats().recovered, 1);
-        assert!(matches!(reopened.lookup(key), Lookup::Miss));
+        assert!(matches!(get(&reopened, key), Ok(None)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1009,7 +1090,7 @@ bb0:
         cache.insert(key, entry(FUNC));
         assert_eq!(cache.stats().write_errors, 1);
         // In-memory tier still serves it; disk has nothing at all.
-        assert!(matches!(cache.lookup(key), Lookup::Hit(_)));
+        assert!(matches!(get(&cache, key), Ok(Some(_))));
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1027,12 +1108,48 @@ bb0:
         // The rotted entry must never be served: a cold cache rejects and
         // quarantines it, then recompilation would repopulate.
         let cold = AnalysisCache::with_dir(&dir, 1 << 20).unwrap();
-        match cold.lookup(key) {
-            Lookup::Corrupt(reason) => assert!(!reason.is_empty()),
+        match get(&cold, key) {
+            Err(reason) => assert!(!reason.is_empty()),
             other => panic!("expected corrupt verdict, got {other:?}"),
         }
-        assert!(matches!(cold.lookup(key), Lookup::Miss));
+        assert!(matches!(get(&cold, key), Ok(None)));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_replay_of_a_memory_entry_counts_as_a_corrupt_miss() {
+        use crate::Optimizer;
+        let src = "fn main() -> int { let a: int[] = new int[3]; return a[1]; }";
+        let module = abcd_frontend::compile(src).unwrap();
+        let id = FuncId::new(0);
+        let options = OptimizerOptions::default();
+        let key = cache_key_of(
+            module.function(id),
+            options_fingerprint(&options),
+            facts_fingerprint(&[]),
+            profile_fingerprint(None, id, None),
+        );
+        let cache = Arc::new(AnalysisCache::in_memory(1 << 20));
+        cache.insert(key, entry("not IR at all"));
+        let optimizer = Optimizer::with_options(options)
+            .with_threads(1)
+            .with_cache(Arc::clone(&cache));
+
+        // The garbage entry is found, fails replay, and is reported: the
+        // stats must say what the incident says — a corrupt miss, no hit.
+        let report = optimizer.optimize_module(&mut module.clone(), None);
+        let kinds: Vec<&str> = report.incidents().map(|i| i.kind_name()).collect();
+        assert_eq!(kinds, ["cache_corrupt"]);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.corrupt), (0, 1, 1), "{s:?}");
+        // The bad slot was dropped; the cold recompile stored a good one.
+        assert_eq!((s.entries, s.stores), (1, 2), "{s:?}");
+
+        let report = optimizer.optimize_module(&mut module.clone(), None);
+        assert_eq!(report.incident_count(), 0);
+        assert_eq!(report.functions_from_cache(), 1);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.corrupt), (1, 1, 1), "{s:?}");
     }
 
     #[test]

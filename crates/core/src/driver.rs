@@ -7,7 +7,7 @@
 //! `demandProve` per bounds check — hottest first when a profile is given,
 //! exactly the demand-driven discipline the paper designed for.
 
-use crate::cache::{AnalysisCache, CacheEntry, CacheKey, Lookup};
+use crate::cache::{AnalysisCache, CacheEntry, CacheKey};
 use crate::faults::{current_pass, set_current_pass, FaultPlan};
 use crate::graph::{InequalityGraph, Problem, Vertex};
 use crate::pre::{apply_insertions, merge_remaining_checks};
@@ -234,6 +234,8 @@ impl Optimizer {
     pub fn optimize_module(&self, module: &mut Module, profile: Option<&Profile>) -> ModuleReport {
         let mut report = ModuleReport::default();
         let options_fp = crate::cache::options_fingerprint(&self.options);
+        let profile_fp =
+            |id| crate::cache::profile_fingerprint(profile, id, self.options.hot_threshold);
         // Without an attached pool, a transient one still shares warm
         // buffers across this module's functions.
         let pool = self
@@ -242,6 +244,7 @@ impl Optimizer {
             .unwrap_or_else(|| Arc::new(ScratchPool::new()));
         let pool = &pool;
         if !self.options.interprocedural {
+            let no_facts_fp = crate::cache::facts_fingerprint(&[]);
             report.functions = self.map_functions(module, |id, func| {
                 if let Some(r) = self.cold_skip_report(func, id, profile) {
                     return r;
@@ -251,15 +254,15 @@ impl Optimizer {
                 // options, and the profile slice for this function. No
                 // interproc facts in this mode, so that component is the
                 // fingerprint of the empty fact set.
-                let keyed = self.effective_cache().map(|cache| {
-                    let canon = abcd_ir::canonicalize(func).to_string();
-                    let key = crate::cache::cache_key(
-                        &canon,
+                let keyed = self.effective_cache().and_then(|cache| {
+                    let ir_hash = self.input_hash(func)?;
+                    let key = crate::cache::key_from_ir_hash(
+                        ir_hash,
                         options_fp,
-                        crate::cache::facts_fingerprint(&[]),
-                        crate::cache::profile_fingerprint(profile, id, self.options.hot_threshold),
+                        no_facts_fp,
+                        profile_fp(id),
                     );
-                    (cache, key)
+                    Some((cache, key))
                 });
                 let mut corrupt = None;
                 if let Some((cache, key)) = keyed {
@@ -298,33 +301,34 @@ impl Optimizer {
         // its verified assumptions. Each phase is panic-isolated per
         // function; a function whose prepare failed ships as-is and is
         // skipped by analyze.
-        // The cache key needs the *input* text, so canonicalize before
-        // prepare mutates anything. The interproc-fact component of the
-        // key is only known after inference, which is what gives editing
-        // one function its transitive reach: callees whose verified
-        // parameter facts change get new keys and recompile cold.
+        // The cache key needs the *input* text, so hash its canonical
+        // print before prepare mutates anything. The interproc-fact
+        // component of the key is only known after inference, which is
+        // what gives editing one function its transitive reach: callees
+        // whose verified parameter facts change get new keys and
+        // recompile cold.
         let caching = self.effective_cache().is_some();
         let prepared = self.map_functions(module, |_, func| {
-            let canon = caching.then(|| abcd_ir::canonicalize(func).to_string());
-            (canon, self.isolated(func, |f| self.prepare_function(f)))
+            let ir_hash = if caching { self.input_hash(func) } else { None };
+            (ir_hash, self.isolated(func, |f| self.prepare_function(f)))
         });
         let facts = crate::interproc::infer_param_facts(module);
         let facts = &facts;
         let prepared: Vec<PreparedSlot> =
             prepared.into_iter().map(|g| Mutex::new(Some(g))).collect();
         report.functions = self.map_functions(module, |id, func| {
-            let (canon, prep) = prepared[id.index()]
+            let (ir_hash, prep) = prepared[id.index()]
                 .lock()
                 .expect("prepared state lock")
                 .take()
                 .expect("each function analyzed once");
-            let keyed = match (self.effective_cache(), canon) {
-                (Some(cache), Some(canon)) => {
-                    let key = crate::cache::cache_key(
-                        &canon,
+            let keyed = match (self.effective_cache(), ir_hash) {
+                (Some(cache), Some(ir_hash)) => {
+                    let key = crate::cache::key_from_ir_hash(
+                        ir_hash,
                         options_fp,
                         crate::cache::facts_fingerprint(facts.of(id)),
-                        crate::cache::profile_fingerprint(profile, id, self.options.hot_threshold),
+                        profile_fp(id),
                     );
                     Some((cache, key))
                 }
@@ -365,6 +369,18 @@ impl Optimizer {
             rep
         });
         report
+    }
+
+    /// The [`canonical_ir_hash`](crate::cache::canonical_ir_hash) that keys
+    /// `func`'s input in the cache. `None` when hashing panics — malformed
+    /// input IR, such as a branch to a block that was never filled, cannot
+    /// be canonicalized; the function then runs uncached and its pipeline
+    /// reports the fault as usual.
+    fn input_hash(&self, func: &Function) -> Option<u64> {
+        if !self.options.isolate_panics {
+            return Some(crate::cache::canonical_ir_hash(func));
+        }
+        std::panic::catch_unwind(|| crate::cache::canonical_ir_hash(func)).ok()
     }
 
     /// Prepends the cache-lookup span to a function's trace (tracing runs
@@ -515,31 +531,19 @@ impl Optimizer {
 
     /// Attempts to replay a cached result for `func`. `Ok(Some(report))`:
     /// hit, `func` replaced by the cached optimized IR. `Ok(None)`: miss.
-    /// `Err(incident)`: a disk entry existed but failed re-verification
-    /// (already quarantined by the cache) — recompile cold and surface the
-    /// incident.
+    /// `Err(incident)`: an entry existed but failed re-verification or
+    /// replay (counted as corrupt and already quarantined by the cache) —
+    /// recompile cold and surface the incident.
     fn try_replay(
         &self,
         cache: &AnalysisCache,
         key: CacheKey,
         func: &mut Function,
     ) -> Result<Option<FunctionReport>, Incident> {
-        match cache.lookup(key) {
-            Lookup::Miss => Ok(None),
-            Lookup::Corrupt(detail) => Err(Incident::CacheCorrupt {
-                function: func.name_symbol(),
-                detail,
-            }),
-            Lookup::Hit(entry) => match self.replay_entry(func, &entry) {
-                Ok(report) => Ok(Some(report)),
-                // An in-memory entry that fails replay is equally a
-                // corruption event; fall back to cold.
-                Err(detail) => Err(Incident::CacheCorrupt {
-                    function: func.name_symbol(),
-                    detail,
-                }),
-            },
-        }
+        let function = func.name_symbol();
+        cache
+            .lookup(key, |entry| self.replay_entry(func, entry))
+            .map_err(|detail| Incident::CacheCorrupt { function, detail })
     }
 
     /// Replaces `func` with a cached optimized body and reconstructs its
@@ -551,7 +555,7 @@ impl Optimizer {
     ) -> Result<FunctionReport, String> {
         let parsed = abcd_ir::parse_function_text(&entry.ir_text)
             .map_err(|e| format!("cached IR does not parse: {e}"))?;
-        if parsed.name() != func.name() {
+        if parsed.name_symbol() != func.name_symbol() {
             return Err(format!(
                 "cached IR names `{}`, expected `{}`",
                 parsed.name(),
@@ -561,7 +565,7 @@ impl Optimizer {
         abcd_ir::verify_function(&parsed, None)
             .map_err(|e| format!("cached IR fails verification: {e}"))?;
         *func = parsed;
-        let mut report = FunctionReport::new(func.name());
+        let mut report = FunctionReport::new(func.name_symbol());
         report.from_cache = true;
         report.checks_total = entry.checks_total;
         report.outcomes = entry.outcomes.clone();
@@ -1480,11 +1484,11 @@ struct PreparedGvn {
     pi_time: std::time::Duration,
 }
 
-/// A prepared function's analysis state — its canonical *input* text (for
-/// cache keying, captured before prepare mutated anything) and the prepare
-/// outcome — handed from the parallel prepare phase to the parallel
-/// analyze phase of interprocedural mode.
-type PreparedSlot = Mutex<Option<(Option<String>, FailOpen<Result<PreparedGvn, Incident>>)>>;
+/// A prepared function's analysis state — the hash of its canonical
+/// *input* text (for cache keying, taken before prepare mutated anything)
+/// and the prepare outcome — handed from the parallel prepare phase to
+/// the parallel analyze phase of interprocedural mode.
+type PreparedSlot = Mutex<Option<(Option<u64>, FailOpen<Result<PreparedGvn, Incident>>)>>;
 
 /// Result of an isolated pipeline run: the work's own output, or the
 /// fail-open report of a function whose pipeline panicked.

@@ -16,7 +16,6 @@
 use crate::entities::{Block, Value};
 use crate::function::Function;
 use crate::inst::{InstKind, PiGuard};
-use std::collections::HashMap;
 
 /// Returns `func` rebuilt with dense, parser-identical numbering: values
 /// in definition order (parameters first), blocks in appearance order with
@@ -26,23 +25,27 @@ use std::collections::HashMap;
 /// The result is semantically identical to `func` (same CFG, same
 /// instruction sequence, same operands up to renaming) and printing it is
 /// a fixpoint of `parse` ∘ `print`.
+///
+/// # Panics
+///
+/// Panics if an operand names a value no linked instruction or parameter
+/// defines, or a block reference names a never-filled block.
 pub fn canonicalize(func: &Function) -> Function {
     let mut out = Function::new(
-        func.name().to_string(),
+        func.name_symbol(),
         func.param_types().to_vec(),
         func.ret_type().cloned(),
     );
     for i in 0..func.local_count() {
         out.new_local(func.local_type(crate::Local::new(i)).clone());
     }
-    while out.check_site_count() < func.check_site_count() {
-        out.new_check_site();
-    }
+    out.reserve_check_sites(func.check_site_count());
 
     // Blocks in appearance order, skipping never-filled ones (the printer
     // omits them, and nothing reachable may target them).
-    let mut block_map: HashMap<Block, Block> = HashMap::new();
-    let mut live_blocks: Vec<Block> = Vec::new();
+    let mut block_map: Vec<Option<Block>> = vec![None; func.block_count()];
+    let mut live_blocks: Vec<Block> = Vec::with_capacity(func.block_count());
+    out.reserve(0, 0, func.block_count());
     for b in func.blocks() {
         let data = func.block(b);
         if data.insts().is_empty() && data.terminator_opt().is_none() {
@@ -53,7 +56,7 @@ pub fn canonicalize(func: &Function) -> Function {
         } else {
             out.new_block()
         };
-        block_map.insert(b, nb);
+        block_map[b.index()] = Some(nb);
         live_blocks.push(b);
     }
 
@@ -61,39 +64,47 @@ pub fn canonicalize(func: &Function) -> Function {
     // to themselves; instruction results get ids in program order. The map
     // must be complete before any instruction is rebuilt because phi
     // operands may reference values defined later (loop back-edges).
-    let mut value_map: HashMap<Value, Value> = HashMap::new();
-    for i in 0..func.param_count() {
-        value_map.insert(Value::new(i), Value::new(i));
+    let mut value_map: Vec<Option<Value>> = vec![None; func.value_count()];
+    for (i, slot) in value_map.iter_mut().enumerate().take(func.param_count()) {
+        *slot = Some(Value::new(i));
     }
     let mut next = func.param_count();
+    let mut inst_count = 0;
     for &b in &live_blocks {
         for &id in func.block(b).insts() {
             if let Some(r) = func.inst(id).result {
-                value_map.insert(r, Value::new(next));
+                value_map[r.index()] = Some(Value::new(next));
                 next += 1;
             }
         }
+        inst_count += func.block(b).insts().len();
     }
+    out.reserve(next - func.param_count(), inst_count, 0);
+    let value = |v: Value| value_map[v.index()].expect("use of an undefined value");
+    let block = |b: Block| block_map[b.index()].expect("reference to a never-filled block");
 
     // Rebuild instructions and terminators with remapped operands.
     for &b in &live_blocks {
-        let nb = block_map[&b];
-        for &id in func.block(b).insts() {
+        let nb = block(b);
+        let old_insts = func.block(b).insts();
+        let mut new_insts = Vec::with_capacity(old_insts.len());
+        for &id in old_insts {
             let inst = func.inst(id);
             let mut kind = inst.kind.clone();
-            kind.map_uses(|v| value_map[&v]);
-            remap_blocks(&mut kind, &block_map);
+            kind.map_uses(value);
+            remap_blocks(&mut kind, block);
             let ty = inst.result.map(|r| func.value_type(r).clone());
             let nid = out.create_inst(kind, ty);
-            out.append_inst(nb, nid);
+            new_insts.push(nid);
             // create_inst allocates results in creation order, which is the
             // pre-scan order — the mapping must agree.
-            debug_assert_eq!(out.inst(nid).result, inst.result.map(|r| value_map[&r]));
+            debug_assert_eq!(out.inst(nid).result, inst.result.map(value));
         }
+        out.set_block_insts(nb, new_insts);
         if let Some(term) = func.block(b).terminator_opt() {
             let mut t = term.clone();
-            t.map_uses(|v| value_map[&v]);
-            t.map_successors(|s| block_map[&s]);
+            t.map_uses(value);
+            t.map_successors(block);
             out.set_terminator(nb, t);
         }
     }
@@ -103,25 +114,26 @@ pub fn canonicalize(func: &Function) -> Function {
 
 /// Remaps the block references embedded in instruction kinds (φ incoming
 /// edges and π branch guards); everything else is block-free.
-fn remap_blocks(kind: &mut InstKind, map: &HashMap<Block, Block>) {
+fn remap_blocks(kind: &mut InstKind, map: impl Fn(Block) -> Block) {
     match kind {
         InstKind::Phi { args } => {
             for (b, _) in args.iter_mut() {
-                *b = map[b];
+                *b = map(*b);
             }
         }
         InstKind::Pi {
             guard: PiGuard::Branch { block, .. },
             ..
         } => {
-            *block = map[block];
+            *block = map(*block);
         }
         _ => {}
     }
 }
 
-/// Is `func` already in canonical form? (Cheap check: rebuilding and
-/// comparing the printed text; used by tests and debug assertions.)
+/// Is `func` already in canonical form? Not cheap: it rebuilds the
+/// function with [`canonicalize`] and prints both versions to compare
+/// them. For tests and debug assertions.
 pub fn is_canonical(func: &Function) -> bool {
     canonicalize(func).to_string() == func.to_string()
 }

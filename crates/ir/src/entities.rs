@@ -22,11 +22,17 @@ macro_rules! entity {
             pub fn index(self) -> usize {
                 self.0 as usize
             }
+
+            /// Writes the printed name (prefix and index) to `w`.
+            pub(crate) fn write<W: fmt::Write + ?Sized>(self, w: &mut W) -> fmt::Result {
+                w.write_str($prefix)?;
+                crate::print::write_decimal(w, u64::from(self.0))
+            }
         }
 
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, concat!($prefix, "{}"), self.0)
+                self.write(f)
             }
         }
 

@@ -202,6 +202,36 @@ impl Function {
         s
     }
 
+    /// Reserves arena room for `values` more values, `insts` more
+    /// instructions and `blocks` more blocks, so a reader or rebuilder
+    /// that knows the size up front does not regrow the arenas.
+    pub(crate) fn reserve(&mut self, values: usize, insts: usize, blocks: usize) {
+        self.values.reserve(values);
+        self.value_types.reserve(values);
+        self.insts.reserve(insts);
+        self.blocks.reserve(blocks);
+    }
+
+    /// Releases arena capacity beyond what the function uses.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.values.shrink_to_fit();
+        self.value_types.shrink_to_fit();
+        self.insts.shrink_to_fit();
+        self.blocks.shrink_to_fit();
+    }
+
+    /// Raises the number of allocated check sites to at least `count`
+    /// (the reader and [`canonicalize`](crate::canonicalize) restore a
+    /// function's site space this way, in O(1)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` does not fit the site id space.
+    pub(crate) fn reserve_check_sites(&mut self, count: usize) {
+        let count = u32::try_from(count).expect("check site overflow");
+        self.next_check_site = self.next_check_site.max(count);
+    }
+
     /// Number of check sites ever allocated.
     pub fn check_site_count(&self) -> usize {
         self.next_check_site as usize

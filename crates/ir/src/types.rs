@@ -43,13 +43,23 @@ impl Type {
     }
 }
 
+impl Type {
+    /// Writes the printed type to `w`.
+    pub(crate) fn write<W: fmt::Write + ?Sized>(&self, w: &mut W) -> fmt::Result {
+        match self {
+            Type::Int => w.write_str("int"),
+            Type::Bool => w.write_str("bool"),
+            Type::Array(e) => {
+                e.write(w)?;
+                w.write_str("[]")
+            }
+        }
+    }
+}
+
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Type::Int => write!(f, "int"),
-            Type::Bool => write!(f, "bool"),
-            Type::Array(e) => write!(f, "{e}[]"),
-        }
+        self.write(f)
     }
 }
 

@@ -297,3 +297,75 @@ fn disk_entries_survive_restart() {
     assert!(cache.stats().disk_hits > 0, "{:?}", cache.stats());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Constant folding can produce `i64::MIN`, which prints as
+/// `const -9223372036854775808`. The reader must take that literal back,
+/// or the function can never replay: every warm run would record a
+/// `cache_corrupt` incident and recompile cold.
+#[test]
+fn i64_min_constant_replays_from_the_cache() {
+    const MIN_PROGRAM: &str = r#"
+        fn low(a: int[]) -> int {
+            let m: int = 0 - 9223372036854775807 - 1;
+            let s: int = 0;
+            for (let i: int = 0; i < a.length; i = i + 1) { s = s + a[i]; }
+            if (s == m) { return 1; }
+            return s;
+        }
+        fn main() -> int {
+            let a: int[] = new int[4];
+            return low(a);
+        }
+    "#;
+    let cache = Arc::new(AnalysisCache::in_memory(1 << 20));
+    let (cold_ir, cold) = optimize_with(Some(&cache), 1, MIN_PROGRAM);
+    assert!(
+        cold_ir.contains("const -9223372036854775808"),
+        "the kernel must fold to i64::MIN:\n{cold_ir}"
+    );
+    assert_eq!(cold.incident_count(), 0);
+
+    let (warm_ir, warm) = optimize_with(Some(&cache), 1, MIN_PROGRAM);
+    assert_eq!(cold_ir, warm_ir);
+    assert!(
+        warm.functions.iter().all(|f| f.from_cache),
+        "every function replays"
+    );
+    assert_eq!(
+        warm.incident_count(),
+        0,
+        "{:?}",
+        warm.incidents().collect::<Vec<_>>()
+    );
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.corrupt), (2, 0), "{stats:?}");
+}
+
+/// Input IR the canonicalizer cannot handle (here a jump to a block that
+/// was never filled, which an `"ir"` request can carry) has no cache key.
+/// With a cache attached the function must run uncached and fail open
+/// exactly as it does without one, not panic while computing its key.
+#[test]
+fn unkeyable_input_runs_uncached() {
+    let text = "func @main() -> int {\nbb0:\n    jump bb1\nbb1:\n}\n";
+    let run = |cache: Option<&Arc<AnalysisCache>>| {
+        let mut module = abcd_ir::parse_module(text).expect("parses");
+        let mut optimizer = Optimizer::new().with_threads(1);
+        if let Some(cache) = cache {
+            optimizer = optimizer.with_cache(Arc::clone(cache));
+        }
+        let report = optimizer.optimize_module(&mut module, None);
+        let kinds: Vec<&str> = report.incidents().map(|i| i.kind_name()).collect();
+        (module.to_string(), kinds)
+    };
+    let cache = Arc::new(AnalysisCache::in_memory(1 << 20));
+    let uncached = run(None);
+    assert!(!uncached.1.is_empty(), "malformed input is reported");
+    assert_eq!(run(Some(&cache)), uncached);
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.hits, stats.misses, stats.stores),
+        (0, 0, 0),
+        "{stats:?}"
+    );
+}
