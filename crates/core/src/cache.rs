@@ -180,7 +180,7 @@ pub fn options_fingerprint(o: &OptimizerOptions) -> u64 {
         "upper={} lower={} cleanup={} pre={} gvn_hook={} merge_checks={} \
          classify_local={} hot_threshold={:?} interprocedural={} \
          fuel_per_query={:?} fuel_per_function={:?} verify_ir={} validate={} \
-         isolate_panics={} prover={}",
+         isolate_panics={}",
         o.upper,
         o.lower,
         o.cleanup,
@@ -195,7 +195,6 @@ pub fn options_fingerprint(o: &OptimizerOptions) -> u64 {
         o.verify_ir,
         o.validate,
         o.isolate_panics,
-        o.prover.name(),
     );
     fnv1a64(text.as_bytes())
 }
@@ -414,7 +413,7 @@ fn kind_str(kind: CheckKind) -> &'static str {
 
 // ---- the cache ----------------------------------------------------------
 
-/// Counters exposed in `abcd-metrics/6` and the server `stats` command.
+/// Counters exposed in `abcd-metrics/7` and the server `stats` command.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Entries currently resident in memory.

@@ -46,11 +46,11 @@ pub enum Reply {
 /// Per-request observation knobs for [`optimize`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CallOptions {
-    /// Attach the `abcd-metrics/6` blob to the reply.
+    /// Attach the `abcd-metrics/7` blob to the reply.
     pub metrics: bool,
     /// Zero all durations in the metrics/trace blobs.
     pub deterministic_metrics: bool,
-    /// Attach the `abcd-trace/3` JSONL document to the reply.
+    /// Attach the `abcd-trace/4` JSONL document to the reply.
     pub trace: bool,
     /// Per-request deadline, in milliseconds from server admission;
     /// `None` inherits the server's default. Tripping it fails open.
@@ -145,10 +145,10 @@ pub struct Optimized {
     /// True when the server blew the deadline and failed open: `ir` is
     /// the compiled but unoptimized module, every check kept.
     pub deadline_exceeded: bool,
-    /// The `abcd-metrics/6` document, verbatim as the server emitted it,
+    /// The `abcd-metrics/7` document, verbatim as the server emitted it,
     /// when requested.
     pub metrics: Option<String>,
-    /// The `abcd-trace/3` JSONL document, when requested.
+    /// The `abcd-trace/4` JSONL document, when requested.
     pub trace: Option<String>,
 }
 

@@ -906,7 +906,15 @@ fn handle_optimize(
     let front = || -> Result<Module, String> {
         match (&req.source, &req.ir) {
             (Some(src), None) => compile(src).map_err(|e| format!("compile: {e}")),
-            (None, Some(ir)) => abcd_ir::parse_module(ir).map_err(|e| format!("parse: {e}")),
+            (None, Some(ir)) => {
+                let module = abcd_ir::parse_module(ir).map_err(|e| format!("parse: {e}"))?;
+                // Text from outside the program: reject what the pipeline
+                // assumes away (e.g. an unterminated reachable block) here,
+                // as a structured error, before any pass can trip on it.
+                abcd_ir::verify_module(&module)
+                    .map_err(|(f, e)| format!("invalid IR in @{f}: {e}"))?;
+                Ok(module)
+            }
             _ => unreachable!("validated by parse_request"),
         }
     };

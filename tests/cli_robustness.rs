@@ -53,7 +53,7 @@ fn help_exits_zero() {
         "mjc client",
         "--cache-dir",
         "--deterministic-metrics",
-        "abcd-metrics/6",
+        "abcd-metrics/7",
         "EXIT CODES",
         "0  success",
         "2  degraded",
@@ -188,6 +188,28 @@ fn malformed_source_is_a_structured_error() {
     }
 }
 
+/// IR text that reads but breaks the pipeline's assumptions (here: a
+/// reachable block with no terminator) is rejected by the verifier before
+/// any pass runs — a plain error naming the function and block, never a
+/// pass panic with a backtrace.
+#[test]
+fn unverifiable_ir_is_a_structured_error() {
+    let ir = scratch(
+        "unterminated.ir",
+        "func @main() -> int {\nbb0:\n    jump bb1\nbb1:\n}\n",
+    );
+    for cmd in ["run", "opt", "dump", "graph"] {
+        let out = mjc(&[cmd, ir.to_str().unwrap()]);
+        assert_eq!(exit_code(&out), 1, "{cmd}");
+        let err = stderr(&out);
+        assert!(
+            err.starts_with("mjc: ") && err.contains("invalid IR in @main: reachable block bb1"),
+            "{cmd}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{cmd} panicked: {err}");
+    }
+}
+
 #[test]
 fn unknown_and_malformed_flags_are_rejected() {
     let file = scratch("flags.mj", GOOD_PROGRAM);
@@ -198,6 +220,8 @@ fn unknown_and_malformed_flags_are_rejected() {
         &["opt", file, "--fuel", "lots"][..],
         &["opt", file, "--fault-plan", "meteor:main"][..],
         &["run", file, "--opt", "--jobs", "many"][..],
+        // The demand prover is the only engine; there is nothing to select.
+        &["opt", file, "--prover", "demand"][..],
     ] {
         let out = mjc(args);
         assert_eq!(exit_code(&out), 1, "args {args:?}");
@@ -255,7 +279,7 @@ fn full_fail_open_flags_run_clean() {
     ]);
     assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
     let err = stderr(&out);
-    assert!(err.contains("\"schema\":\"abcd-metrics/6\""), "{err}");
+    assert!(err.contains("\"schema\":\"abcd-metrics/7\""), "{err}");
     assert!(err.contains("\"incidents\":[]"), "{err}");
 }
 

@@ -68,8 +68,9 @@ const PRINT_DIGESTS: &[(&str, u64, u64)] = &[
 ];
 
 /// The cache key of the first function of the first paper kernel
-/// (default options with `verify_ir` off, no facts, no profile).
-const PINNED_KEY: (&str, &str) = ("isort", "aeee4d2d5451f3c5");
+/// (default options with `verify_ir` off, no facts, no profile). A new
+/// literal here means every disk cache written before it misses once.
+const PINNED_KEY: (&str, &str) = ("isort", "1ebecc15d6c250e1");
 
 /// Every paper kernel and every corpus module, by name.
 fn modules() -> Vec<(String, String)> {

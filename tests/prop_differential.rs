@@ -458,43 +458,26 @@ fn check_range_baseline(bytes: &[u8], data: &[i64], x: i64) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend parity. The `--prover` engines (demand DFS, batch sweep, DBM
-// relaxation, auto selection) are interchangeable by contract: on the same
-// options they must produce byte-identical optimized IR and identical
-// per-check outcome vectors. The demand prover — the paper's algorithm — is
-// the oracle; every other backend is compared against it, across the
-// benchsuite kernels, a dedicated fuzz corpus (≥1000 generated functions),
-// armed fault plans, and thread counts. Fuel starvation is the one
-// dimension where backends legitimately diverge in *cost* (a sweep spends
-// its budget differently than a DFS), so there the property is per-backend
-// fail-open soundness rather than cross-backend byte-identity.
+// Demand-prover invariants. The optimizer's output is a pure function of
+// its input and options: the worker count, an armed fault plan and a fuel
+// budget may change *what* is proven (a starved query keeps its check),
+// but never make two runs of the same configuration differ, and never
+// admit an unchecked out-of-bounds access.
 // ---------------------------------------------------------------------------
 
-use abcd::{FaultPlan, ProverBackend};
+use abcd::FaultPlan;
 
-const ALL_BACKENDS: [ProverBackend; 4] = [
-    ProverBackend::Demand,
-    ProverBackend::Batch,
-    ProverBackend::Dbm,
-    ProverBackend::Auto,
-];
-
-/// One full pipeline run of `module` under `backend`; returns the
+/// One full pipeline run of `src` on `threads` workers; returns the
 /// byte-comparable artifacts: optimized IR text, per-function outcome
 /// vectors, and the incident-kind sequence.
 fn pipeline_artifacts(
     src: &str,
-    backend: ProverBackend,
     threads: usize,
     fault: Option<&FaultPlan>,
     options: OptimizerOptions,
 ) -> (String, Vec<String>, Vec<String>) {
     let mut module = compile(src).expect("program compiles");
-    let opts = OptimizerOptions {
-        prover: backend,
-        ..options
-    };
-    let mut optimizer = Optimizer::with_options(opts).with_threads(threads);
+    let mut optimizer = Optimizer::with_options(options).with_threads(threads);
     if let Some(plan) = fault {
         optimizer = optimizer.with_fault_plan(plan.clone());
     }
@@ -512,73 +495,12 @@ fn pipeline_artifacts(
     (module.to_string(), outcomes, incidents)
 }
 
-/// Asserts that every backend reproduces the demand oracle's artifacts
-/// byte-for-byte on `src` under `options` (and optional fault plan).
-fn assert_backend_parity(src: &str, fault: Option<&FaultPlan>, options: OptimizerOptions) {
-    let oracle = pipeline_artifacts(src, ProverBackend::Demand, 1, fault, options);
-    for backend in ALL_BACKENDS {
-        let got = pipeline_artifacts(src, backend, 1, fault, options);
-        assert_eq!(
-            oracle.0,
-            got.0,
-            "optimized IR diverged: demand vs {}\n{src}",
-            backend.name()
-        );
-        assert_eq!(
-            oracle.1,
-            got.1,
-            "check outcomes diverged: demand vs {}\n{src}",
-            backend.name()
-        );
-        assert_eq!(
-            oracle.2,
-            got.2,
-            "incidents diverged: demand vs {}\n{src}",
-            backend.name()
-        );
-    }
-}
-
-/// Every benchsuite kernel, every backend: byte-identical IR and verdicts.
+/// Armed fault plans fire identically at any worker count: driver-level
+/// faults (fuel starvation, pass panics, edge perturbation caught by
+/// translation validation) are keyed by function name, never by thread,
+/// so `--jobs 1` and `--jobs 4` ship the same IR, verdicts and incidents.
 #[test]
-fn all_backends_agree_on_the_benchsuite() {
-    for bench in abcd_benchsuite::BENCHMARKS {
-        assert_backend_parity(bench.source, None, OptimizerOptions::default());
-    }
-}
-
-/// The headline parity sweep: ≥1000 generated functions through all four
-/// backends, demanding byte-identical optimized IR, outcome vectors, and
-/// incident sequences. (Each generated program holds three functions —
-/// `guarded`, `raw`, and the fuzzed `f` — so the default 340 cases cover
-/// 1020 functions.)
-#[test]
-fn all_backends_agree_on_the_fuzz_corpus() {
-    let cases = fuzz_cases(340);
-    let mut rng = Rng::new(0xabcd_0006);
-    let mut functions = 0usize;
-    for case in 0..cases {
-        let bytes = rng.bytes(160);
-        let src = Gen::new(&bytes).program();
-        functions += compile(&src).expect("compiles").functions().count();
-        let result = std::panic::catch_unwind(|| {
-            assert_backend_parity(&src, None, OptimizerOptions::default());
-        });
-        if let Err(e) = result {
-            panic!("case {case} failed (bytes={bytes:?}): {e:?}");
-        }
-    }
-    if std::env::var("ABCD_FUZZ_CASES").is_err() {
-        assert!(functions >= 1000, "corpus too small: {functions} functions");
-    }
-}
-
-/// Armed fault plans must not break parity: driver-level faults (fuel
-/// starvation, pass panics, edge perturbation caught by translation
-/// validation) hit every backend identically, because they fire before or
-/// after the prover — never inside it.
-#[test]
-fn all_backends_agree_under_armed_fault_plans() {
+fn armed_fault_plans_are_thread_invariant() {
     let plans = [
         "fuel:*",
         "panic:*:solve",
@@ -593,24 +515,24 @@ fn all_backends_agree_under_armed_fault_plans() {
         for spec in plans {
             let plan = FaultPlan::parse(spec).unwrap();
             // Translation validation on, so perturbed-edge runs exercise
-            // the reinstatement path in every backend.
+            // the reinstatement path.
             let options = OptimizerOptions {
                 validate: true,
                 ..OptimizerOptions::default()
             };
-            assert_backend_parity(&src, Some(&plan), options);
+            let seq = pipeline_artifacts(&src, 1, Some(&plan), options);
+            let par = pipeline_artifacts(&src, 4, Some(&plan), options);
+            assert_eq!(seq, par, "`{spec}` diverged across --jobs 1/4\n{src}");
         }
     }
 }
 
-/// Fuel starvation is fail-open for every backend individually: however a
-/// backend spends its budget, the optimized program must stay
-/// observationally equivalent to the baseline and never admit an unchecked
-/// out-of-bounds access. (Cross-backend byte-identity is *not* required
-/// here — a sweep's cost model differs from a DFS's, so different checks
-/// may starve.)
+/// Fuel starvation is fail-open and deterministic: however the budget cuts
+/// the traversal, the optimized program stays observationally equivalent
+/// to the baseline, never admits an unchecked out-of-bounds access, and a
+/// second run under the same budget repeats the first byte for byte.
 #[test]
-fn fuel_starved_backends_stay_fail_open() {
+fn fuel_starved_runs_stay_fail_open_and_repeat() {
     let cases = fuzz_cases(24);
     let mut rng = Rng::new(0xabcd_0008);
     for _ in 0..cases {
@@ -620,51 +542,44 @@ fn fuel_starved_backends_stay_fail_open() {
         let src = Gen::new(&bytes).program();
         let baseline = compile(&src).unwrap();
         let (r1, out1, _) = run(&baseline, &data, x);
-        for backend in ALL_BACKENDS {
-            for (per_query, per_function) in [(Some(3), None), (None, Some(5)), (Some(2), Some(4))]
-            {
-                let mut optimized = compile(&src).unwrap();
-                let opts = OptimizerOptions {
-                    prover: backend,
-                    fuel_per_query: per_query,
-                    fuel_per_function: per_function,
-                    ..OptimizerOptions::default()
-                };
-                Optimizer::with_options(opts).optimize_module(&mut optimized, None);
-                let (r2, out2, _) = run(&optimized, &data, x);
-                if let Err(k) = &r2 {
-                    assert!(
-                        !k.contains("UncheckedAccess"),
-                        "unsound removal under starved {} backend\n{src}",
-                        backend.name()
-                    );
-                }
-                assert_eq!(r1, r2, "starved {} backend diverged\n{src}", backend.name());
-                assert_eq!(out1, out2);
+        for (per_query, per_function) in [(Some(3), None), (None, Some(5)), (Some(2), Some(4))] {
+            let opts = OptimizerOptions {
+                fuel_per_query: per_query,
+                fuel_per_function: per_function,
+                ..OptimizerOptions::default()
+            };
+            let mut optimized = compile(&src).unwrap();
+            Optimizer::with_options(opts).optimize_module(&mut optimized, None);
+            let (r2, out2, _) = run(&optimized, &data, x);
+            if let Err(k) = &r2 {
+                assert!(
+                    !k.contains("UncheckedAccess"),
+                    "unsound removal under starvation {per_query:?}/{per_function:?}\n{src}"
+                );
             }
+            assert_eq!(r1, r2, "starved run diverged\n{src}");
+            assert_eq!(out1, out2);
+            assert_eq!(
+                pipeline_artifacts(&src, 1, None, opts),
+                pipeline_artifacts(&src, 1, None, opts),
+                "starved runs differ from each other\n{src}"
+            );
         }
     }
 }
 
-/// `--jobs` parallelism is a no-op for every backend: a pooled run emits
-/// byte-identical IR, outcomes, and incidents to a sequential one.
+/// `--jobs` parallelism is a no-op: a pooled run emits byte-identical IR,
+/// outcomes, and incidents to a sequential one.
 #[test]
-fn every_backend_is_thread_invariant() {
+fn parallel_output_equals_sequential() {
     let cases = fuzz_cases(12);
     let mut rng = Rng::new(0xabcd_0009);
     for _ in 0..cases {
         let bytes = rng.bytes(140);
         let src = Gen::new(&bytes).program();
-        for backend in ALL_BACKENDS {
-            let seq = pipeline_artifacts(&src, backend, 1, None, OptimizerOptions::default());
-            let par = pipeline_artifacts(&src, backend, 4, None, OptimizerOptions::default());
-            assert_eq!(
-                seq,
-                par,
-                "parallel {} run diverged from sequential\n{src}",
-                backend.name()
-            );
-        }
+        let seq = pipeline_artifacts(&src, 1, None, OptimizerOptions::default());
+        let par = pipeline_artifacts(&src, 4, None, OptimizerOptions::default());
+        assert_eq!(seq, par, "parallel run diverged from sequential\n{src}");
     }
 }
 

@@ -4,7 +4,9 @@
 //! where a header should be, and a frame nested far past the JSON
 //! reader's depth cap — plus the protocol-v2 batch edges: the empty
 //! batch, the at-cap batch frame, mixed v1/v2 clients on one socket, and
-//! a deadline tripping for one batch element only. Every case must
+//! a deadline tripping for one batch element only — plus an `"ir"`
+//! request that reads but does not verify, and the retired `"prover"`
+//! option. Every case must
 //! produce a structured error (or a clean close for unanswerable
 //! garbage) and leave the daemon healthy — no wedged worker, no
 //! poisoned state.
@@ -356,6 +358,84 @@ fn partial_batch_deadline_trip_fails_open_per_element() {
     assert_eq!(replies[1].ir, unoptimized, "element 1 unoptimized bytes");
     assert!(!replies[2].deadline_exceeded, "element 2 unaffected");
     assert_eq!(replies[2].ir, optimized, "element 2 optimized");
+
+    abcd_server::shutdown(&socket).unwrap();
+    handle.join();
+}
+
+/// Sends one optimize body in its own frame and returns the raw reply.
+fn send_body(socket: &std::path::Path, body: &str) -> Vec<u8> {
+    let mut framed = Vec::new();
+    abcd_server::proto::write_frame(&mut framed, body.as_bytes()).unwrap();
+    send_raw(socket, &framed)
+}
+
+/// One normal `"source"` request, compared with the one-shot pipeline.
+fn assert_serves_normally(socket: &std::path::Path, what: &str) {
+    let reference = {
+        let mut module = abcd_frontend::compile(SRC).unwrap();
+        abcd::Optimizer::new().optimize_module(&mut module, None);
+        module.to_string()
+    };
+    let reply = abcd_server::optimize(
+        socket,
+        (SRC, false),
+        &abcd::OptimizerOptions::default(),
+        None,
+        &abcd_server::CallOptions::default(),
+        &abcd_server::RetryPolicy::default(),
+    )
+    .unwrap_or_else(|e| panic!("{what}: normal request failed: {e}"));
+    assert_eq!(reply.ir, reference, "{what}");
+}
+
+/// An `"ir"` request whose text reads but does not verify (a reachable
+/// block with no terminator) is answered with a structured error naming
+/// the function and block — the worker never runs a pass on it — and the
+/// next request on the same server is served as usual.
+#[test]
+fn unverifiable_ir_request_is_a_structured_error() {
+    let socket = sock("badir");
+    let handle = abcd_server::start(ServerConfig::new(&socket)).unwrap();
+    assert!(ping_eventually(&socket), "server must come up");
+
+    let body = abcd_server::proto::optimize_request_json(
+        ("func @main() -> int {\nbb0:\n    jump bb1\nbb1:\n}\n", true),
+        &abcd::OptimizerOptions::default(),
+        None,
+        false,
+        false,
+        false,
+        None,
+    );
+    let reply = send_body(&socket, &body);
+    assert_error_frame(
+        &reply,
+        "invalid IR in @main: reachable block bb1 not terminated",
+        "unterminated block",
+    );
+    assert_serves_normally(&socket, "after an unverifiable IR request");
+
+    abcd_server::shutdown(&socket).unwrap();
+    handle.join();
+}
+
+/// The prover engine is not a request option: the demand prover answers
+/// every query, so `"prover"` is an unknown option like any other, and the
+/// daemon keeps serving.
+#[test]
+fn prover_option_is_unknown() {
+    let socket = sock("prover");
+    let handle = abcd_server::start(ServerConfig::new(&socket)).unwrap();
+    assert!(ping_eventually(&socket), "server must come up");
+
+    let body = format!(
+        "{{\"cmd\":\"optimize\",\"source\":\"{}\",\"options\":{{\"prover\":\"demand\"}}}}",
+        abcd::json_escape(SRC)
+    );
+    let reply = send_body(&socket, &body);
+    assert_error_frame(&reply, "unknown option `prover`", "prover option");
+    assert_serves_normally(&socket, "after a `prover` option");
 
     abcd_server::shutdown(&socket).unwrap();
     handle.join();
